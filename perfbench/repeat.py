@@ -3,7 +3,7 @@
 
 One build (this checkout), N runs with seeds 1..N:
 
-    python3 perfbench/repeat.py --workload quote-storm --runs 10 --seconds 20
+    python3 perfbench/repeat.py --workload quote-storm --runs 10
 
 Two builds, alternating which runs first in each pair (each ROOT is a
 checkout holding perfbench/):
@@ -11,12 +11,14 @@ checkout holding perfbench/):
     python3 perfbench/repeat.py --workload quote-storm --runs 10 \\
         --base ../parent --head .
 
-Prints each end-to-end metric's median, quartiles and spread (quartile
-distance over median) per build. With two builds it also prints, per
-metric, the pairs the head won and whether the difference is resolved:
-the head wins at least 9 of 10 pairs and the medians differ by more than
-the base's quartile distance. --trace-overhead adds traced runs and
-reports how far their end-to-end figures sit from the untraced ones.
+Every run measures BENCHMARK.json's run_seconds, the run length its
+bounds were set for. Prints each end-to-end metric's median, quartiles
+and spread (quartile distance over median) per build. With two builds it
+also prints, per metric, the pairs the head won and whether the
+difference is resolved: the head wins at least 9 of 10 pairs and the
+medians differ by more than the base's quartile distance.
+--trace-overhead adds traced runs and reports how far their end-to-end
+figures sit from the untraced ones.
 """
 import argparse
 import json
@@ -28,10 +30,13 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def bounds_and_directions(root):
+def load_spec(root):
+    """Returns ({metric: (better, bound)}, run_seconds) from BENCHMARK.json."""
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    return {m["name"]: (m["better"], m.get("bound")) for m in spec["end_to_end"]}
+    directions = {m["name"]: (m["better"], m.get("bound"))
+                  for m in spec["end_to_end"]}
+    return directions, spec["run_seconds"]
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -102,7 +107,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--base", help="checkout root of the parent build")
     parser.add_argument("--head", default=os.path.dirname(HERE),
@@ -110,7 +114,7 @@ def main():
     parser.add_argument("--trace-overhead", action="store_true")
     args = parser.parse_args()
 
-    directions = bounds_and_directions(args.head)
+    directions, seconds = load_spec(args.head)
     seeds = range(args.first_seed, args.first_seed + args.runs)
     head_runs, base_runs, traced = [], [], []
     for i, seed in enumerate(seeds):
@@ -120,13 +124,13 @@ def main():
             if i % 2:
                 order.reverse()
         for label, root in order:
-            result, _ = run_once(root, args.workload, seed, args.seconds, 0)
+            result, _ = run_once(root, args.workload, seed, seconds, 0)
             values = {k: v["value"] for k, v in result["metrics"].items()}
             (head_runs if label == "head" else base_runs).append(values)
             print("%s seed %d: %s" % (label, seed, json.dumps(values)),
                   flush=True)
         if args.trace_overhead:
-            _, e2e = run_once(args.head, args.workload, seed, args.seconds, 1)
+            _, e2e = run_once(args.head, args.workload, seed, seconds, 1)
             traced.append(e2e)
     if args.base:
         summarize("base", base_runs, directions)

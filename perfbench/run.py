@@ -24,7 +24,6 @@ BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
 BINARY = os.path.join(BUILD_DIR, "qpbench")
 BUILD_TYPE = "Release"
-RUN_TIMEOUT_S = 170
 WORKLOADS = ("quote-storm", "buyer-arrivals", "seller-churn")
 # (workload, injected wrong answer) pairs the self-test requires to fail.
 INJECTIONS = (
@@ -74,13 +73,11 @@ def run_qpbench(args, capture=False):
     """Runs qpbench; returns (exit code, stdout text or None)."""
     cmd = [BINARY] + args + ["--build-type", BUILD_TYPE, "--commit", commit(),
                              "--out-dir", OUT_DIR]
-    try:
-        proc = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S,
-                              stdout=subprocess.PIPE if capture else None,
-                              text=True)
-    except subprocess.TimeoutExpired:
-        log("perfbench: run exceeded %d s" % RUN_TIMEOUT_S)
-        return 3, None
+    # qpbench's own watchdog ends a run that outlives its window by
+    # minutes, so no timeout here.
+    proc = subprocess.run(cmd, cwd=ROOT,
+                          stdout=subprocess.PIPE if capture else None,
+                          text=True)
     return proc.returncode, proc.stdout
 
 

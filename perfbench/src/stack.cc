@@ -162,7 +162,8 @@ std::unique_ptr<Stack> BuildStack(const StackConfig& config,
       std::move(partition.seed_edges);
 
   qs::ShardedEngineOptions options;
-  options.engine.algorithms.lpip.max_candidates = config.lpip_candidates;
+  // Every LPIP threshold candidate (one per distinct valuation).
+  options.engine.algorithms.lpip.max_candidates = 0;
   options.num_threads = 1;
   stack->engine = std::make_unique<qs::ShardedPricingEngine>(
       stack->instance.database.get(), std::move(partition), options);
@@ -180,7 +181,7 @@ std::unique_ptr<Stack> BuildStack(const StackConfig& config,
   }
   stack->setup_lps = stack->engine->stats().merged.total_lps_solved;
 
-  if (config.journal) {
+  if (!config.checkpoint_dir.empty()) {
     std::error_code ec;
     std::filesystem::remove_all(config.checkpoint_dir, ec);
     stack->checkpoints = std::make_unique<qs::persist::CheckpointManager>(

@@ -32,13 +32,11 @@ struct StackConfig {
   /// delta records above its chain base.
   int chain_appends = 0;
   int shards = 2;
-  /// LPIP threshold candidates (0 = one per distinct valuation).
-  int lpip_candidates = 0;
-  /// Write-ahead journal through persist::CheckpointManager (fsync off),
-  /// with a checkpoint every N publishes (0 = journal only).
-  bool journal = false;
-  int checkpoint_every = 0;
+  /// A non-empty directory turns on the write-ahead journal through
+  /// persist::CheckpointManager (fsync off), with a checkpoint every N
+  /// publishes (0 = journal only).
   std::string checkpoint_dir;
+  int checkpoint_every = 0;
 };
 
 /// A buyer stream: which query each arrival asks and what it is worth.
